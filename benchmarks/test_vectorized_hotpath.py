@@ -1,7 +1,9 @@
 """Microbenchmark: the vectorized level loop vs the scalar reference.
 
-Times the Figure 9 DBLP high-frequency keyword pair through both
-execution strategies of `JoinBasedSearch` and checks they agree exactly;
+Times the Figure 9 DBLP high-frequency keyword pair, and the corpus's
+two most frequent terms (an emission-heavy pair: thousands of results,
+so result materialization dominates), through both execution
+strategies of `JoinBasedSearch` and checks they agree exactly;
 the equivalence assertions are the safety net, the timings are the
 payload (printed, and emitted as ``BENCH_hotpath.json`` by
 ``python -m repro.bench.baseline``).  Run in smoke mode with
@@ -15,10 +17,10 @@ import json
 import numpy as np
 
 from repro.algorithms.join_based import JoinBasedSearch
-from repro.bench.baseline import (SCHEMA, _column_payloads, _fig9_high_pair,
+from repro.bench.baseline import (SCHEMA, _column_values, _fig9_high_pair,
                                   hotpath_report)
 from repro.bench.harness import timed
-from repro.index.compression import decompress_column
+from repro.index.compression import compress_column, decompress_column
 
 
 def test_vectorized_equals_scalar_on_hotpath(bench):
@@ -31,11 +33,41 @@ def test_vectorized_equals_scalar_on_hotpath(bench):
         for terms in queries:
             scalar, s_stats = scalar_engine.evaluate(terms, semantics)
             vector, v_stats = vector_engine.evaluate(terms, semantics)
-            assert [(r.node.dewey, r.level, r.score, r.witness_scores)
-                    for r in scalar] == \
-                [(r.node.dewey, r.level, r.score, r.witness_scores)
-                 for r in vector]
+            assert fingerprint(scalar) == fingerprint(vector)
             assert s_stats.as_dict() == v_stats.as_dict()
+
+
+def fingerprint(results):
+    return [(r.node.dewey, r.level, r.score, r.witness_scores)
+            for r in results]
+
+
+def _emission_heavy_pair(db):
+    """The corpus's two most frequent terms."""
+    index = db.columnar_index
+    return sorted(index.vocabulary,
+                  key=lambda t: -index.document_frequency(t))[:2]
+
+
+def test_emission_heavy_pair(bench):
+    db = bench.dblp
+    terms = _emission_heavy_pair(db)
+    scalar_engine = JoinBasedSearch(db.columnar_index, vectorized=False)
+    vector_engine = JoinBasedSearch(db.columnar_index, vectorized=True)
+    emitted = {}
+    for semantics in ("elca", "slca"):
+        scalar, s_stats = scalar_engine.evaluate(terms, semantics)
+        vector, v_stats = vector_engine.evaluate(terms, semantics)
+        assert fingerprint(scalar) == fingerprint(vector)
+        assert s_stats.as_dict() == v_stats.as_dict()
+        emitted[semantics] = len(vector)
+    assert emitted["elca"] >= 1000, "the pair must emit thousands of results"
+    scalar_ms = timed(lambda: scalar_engine.evaluate(terms, "elca"))
+    vector_ms = timed(lambda: vector_engine.evaluate(terms, "elca"))
+    print(f"\nemission-heavy {terms} ({emitted['elca']} ELCA results): "
+          f"scalar {scalar_ms:.2f}ms, vectorized {vector_ms:.2f}ms, "
+          f"speedup {scalar_ms / vector_ms:.2f}x")
+    assert vector_ms > 0 and scalar_ms > 0
 
 
 def test_level_loop_timings(bench):
@@ -63,7 +95,8 @@ def test_decompress_column_timings(bench):
     """Decode every workload-term column both ways: equivalence asserted,
     speedup printed (the committed baseline carries the threshold)."""
     db = bench.dblp
-    payloads = _column_payloads(db, _fig9_high_pair(bench))
+    payloads = [compress_column(values)
+                for values in _column_values(db, _fig9_high_pair(bench))]
     assert payloads, "workload terms must have columns"
     for scheme, payload in payloads:
         np.testing.assert_array_equal(
@@ -87,7 +120,8 @@ def test_hotpath_report_schema(bench, tmp_path):
     assert report["schema"] == SCHEMA
     assert set(report["speedups"]) == {"level_loop", "erased_counts",
                                        "mark_many", "decompress_column",
-                                       "result_cache"}
+                                       "decode_for", "erase_bitmap",
+                                       "decode_cache", "result_cache"}
     pool = report["batch_pool"]
     assert set(pool["thread"]) == set(pool["process"]) == \
         {str(width) for width in pool["workers"]}

@@ -30,15 +30,22 @@ Two execution strategies share the level loop:
   level with NumPy bulk operations -- bulk run-bound slicing via
   `Column.runs_of`, bulk erased counts / free masks from the erasure
   structures, and an `np.maximum.reduceat` segment-max for witness
-  scores -- so per-level cost stays columnar, matching the paper's
+  scores -- and emits the level's results in bulk as well: nodes and
+  their document-order positions come from one `nodes_at` fancy-index
+  into the index's node table, scores from one
+  `RankingModel.score_results` call, and the final document order from
+  one stable argsort of the positions.  Per-level cost stays columnar
+  all the way to the returned list, matching the paper's
   bulk-relational design;
 * the **scalar** path (``vectorized=False``) applies the same test one
-  candidate at a time.  It is retained as the differential-testing and
-  benchmarking reference: both paths produce bit-identical results.
+  candidate at a time and sorts on Dewey ids.  It is retained as the
+  differential-testing and benchmarking reference: both paths produce
+  bit-identical results in the same order.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,6 +148,9 @@ class JoinBasedSearch:
         erasers = [make_eraser(self.eraser_mode, len(p)) for p in postings]
         damping_base = self.ranking.damping.base
         results: List[SearchResult] = []
+        # Document-order positions of `results`, one array per emitting
+        # level (vectorized path only).
+        positions: List[np.ndarray] = []
 
         for level in range(start_level, 0, -1):
             if deadline is not None and deadline.expired():
@@ -152,7 +162,8 @@ class JoinBasedSearch:
             try:
                 self._process_level(level, postings, erasers, semantics,
                                     with_scores, caller_slot, damping_base,
-                                    stats, results, observer, tracer)
+                                    stats, results, positions, observer,
+                                    tracer)
             except DeadlineExceeded:
                 # Raised mid-level by a lazy posting fetch polling the
                 # thread-local deadline; downgrade per policy.  Results
@@ -164,12 +175,18 @@ class JoinBasedSearch:
                 stats.partial = True
                 stats.levels_skipped += level
                 break
-        return sort_by_document_order(results), stats
+        if not self.vectorized:
+            return sort_by_document_order(results), stats
+        if not results:
+            return results, stats
+        order = np.argsort(np.concatenate(positions), kind="stable")
+        return [results[i] for i in order.tolist()], stats
 
     def _process_level(self, level: int, postings, erasers, semantics: str,
                        with_scores: bool, caller_slot: List[int],
                        damping_base: float, stats: ExecutionStats,
-                       results: List[SearchResult], observer,
+                       results: List[SearchResult],
+                       positions: List[np.ndarray], observer,
                        tracer) -> None:
         """Join, check, score and erase one level of the bottom-up loop."""
         columns = [p.column(level) for p in postings]
@@ -198,7 +215,7 @@ class JoinBasedSearch:
                 emitted_at_level = self._check_level_vectorized(
                     joined, level, postings, columns, run_bounds,
                     erasers, semantics, with_scores, caller_slot,
-                    damping_base, stats, results)
+                    damping_base, stats, results, positions)
             else:
                 emitted_at_level = 0
                 for j, number in enumerate(joined):
@@ -242,7 +259,8 @@ class JoinBasedSearch:
                                 run_bounds, erasers, semantics: str,
                                 with_scores: bool, caller_slot: List[int],
                                 damping_base: float, stats: ExecutionStats,
-                                results: List[SearchResult]) -> int:
+                                results: List[SearchResult],
+                                positions: List[np.ndarray]) -> int:
         """Apply the ELCA/SLCA test to every joined number of a level.
 
         Bit-identical to looping `_check_candidate`, but every step is a
@@ -250,6 +268,10 @@ class JoinBasedSearch:
         eraser's prefix/binary-search bulk API, free witnesses from a
         bulk mask, and per-run best damped scores from a segment max
         (`np.maximum.reduceat`) over the concatenated run ordinals.
+        The survivors are emitted together: their nodes and
+        document-order positions (appended to `positions`, aligned with
+        `results`) from the node table, their scores from
+        `RankingModel.score_results`.
         """
         n = len(joined)
         stats.candidates_checked += n
@@ -285,18 +307,18 @@ class JoinBasedSearch:
                 free = erasers[t].free_mask(ordinals)
                 witness[t] = np.maximum.reduceat(
                     np.where(free, damped, -np.inf), offsets)
-        emitted = 0
-        for out, j in enumerate(alive_idx):
-            node = self.index.node_at(level, int(joined[j]))
-            if with_scores:
-                ordered = tuple(float(witness[slot, out])
-                                for slot in caller_slot)
-                score = self.ranking.score_result(ordered)
-            else:
-                ordered = tuple(0.0 for _ in caller_slot)
-                score = 0.0
-            results.append(SearchResult(node, level, score, ordered))
-            emitted += 1
+        nodes, node_positions = self.index.nodes_at(level, joined[alive_idx])
+        if with_scores:
+            ordered = witness.take(caller_slot, axis=0)
+            scores = self.ranking.score_results(ordered)
+            witnesses = zip(*ordered.tolist())
+        else:
+            scores = repeat(0.0)
+            witnesses = repeat((0.0,) * len(caller_slot))
+        results.extend(map(SearchResult, nodes.tolist(), repeat(level),
+                           scores, witnesses))
+        positions.append(node_positions)
+        emitted = len(alive_idx)
         stats.results_emitted += emitted
         return emitted
 

@@ -16,6 +16,7 @@ a single stack-based query does not pay for the columnar index.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -572,8 +573,11 @@ class XMLDatabase:
                                                      deadline=deadline)
             else:
                 results, stats = engine.evaluate(terms, semantics)
-            return TopKResult(sort_by_score(results)[:k], stats,
-                              partial=stats.partial)
+            # Same order as sort_by_score(results)[:k], without sorting
+            # the whole complete result set.
+            top = heapq.nsmallest(k, results,
+                                  key=lambda r: (-r.score, r.node.dewey))
+            return TopKResult(top, stats, partial=stats.partial)
         raise ValueError(
             f"unknown algorithm {algorithm!r}; one of {TOPK_ALGORITHMS}")
 

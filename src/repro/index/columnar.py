@@ -153,12 +153,69 @@ class ColumnarPostings:
         return float(self.scores.max()) if len(self.scores) else 0.0
 
 
+class NodeTable:
+    """Dense per-level node table: ``(level, JDewey number) -> node``.
+
+    A JDewey number plus its level uniquely identifies a node (the
+    representational advantage section III-A highlights), and a freshly
+    encoded tree hands out the numbers of each level densely from 1, so
+    each level is one object array indexed by number, beside an int64
+    array of every node's document-order position.  Numbers never handed
+    out (gap slots reserved for inserts) hold ``None`` and ``-1``.
+    """
+
+    __slots__ = ("_nodes", "_positions")
+
+    def __init__(self, tree: XMLTree):
+        numbers: Dict[int, List[int]] = {}
+        nodes: Dict[int, List[Node]] = {}
+        positions: Dict[int, List[int]] = {}
+        for position, node in enumerate(tree.iter_document_order()):
+            level = node.level
+            if level not in numbers:
+                numbers[level], nodes[level], positions[level] = [], [], []
+            numbers[level].append(node.jdewey[-1])
+            nodes[level].append(node)
+            positions[level].append(position)
+        depth = max(numbers, default=0)
+        self._nodes: List[np.ndarray] = [np.empty(0, dtype=object)] * (
+            depth + 1)
+        self._positions: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * (
+            depth + 1)
+        for level, level_numbers in numbers.items():
+            idx = np.asarray(level_numbers, dtype=np.int64)
+            size = int(idx.max()) + 1
+            table = np.empty(size, dtype=object)
+            table[idx] = nodes[level]
+            order = np.full(size, -1, dtype=np.int64)
+            order[idx] = positions[level]
+            self._nodes[level] = table
+            self._positions[level] = order
+
+    def node_at(self, level: int, number: int) -> Node:
+        """The node at (level, number); `KeyError` if there is none."""
+        if 0 < level < len(self._nodes):
+            table = self._nodes[level]
+            if 0 <= number < len(table):
+                node = table[number]
+                if node is not None:
+                    return node
+        raise KeyError((level, number))
+
+    def nodes_at(self, level: int, numbers: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Bulk `node_at`: (nodes, document-order positions) of `numbers`.
+
+        One fancy-index per array.  Every number must name a node (join
+        outputs always do -- they come from the postings of this tree).
+        """
+        return self._nodes[level][numbers], self._positions[level][numbers]
+
+
 class ColumnarIndex:
     """JDewey columnar inverted index over one document.
 
-    Also owns the ``(level, number) -> node`` map used to materialize
-    results, since a JDewey number plus its level uniquely identifies a
-    node (the representational advantage section III-A highlights).
+    Also owns the `NodeTable` used to materialize results.
     """
 
     def __init__(self, tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
@@ -173,7 +230,7 @@ class ColumnarIndex:
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.ranking = ranking if ranking is not None else RankingModel()
         self._postings: Dict[str, ColumnarPostings] = {}
-        self._node_by_level_number: Dict[Tuple[int, int], Node] = {}
+        self._node_table = NodeTable(tree)
         self.n_docs = 0
         self._build()
 
@@ -187,23 +244,20 @@ class ColumnarIndex:
 
         The tree must carry the same JDewey numbering the postings were
         built against (re-encoding a saved document with the same gap is
-        deterministic); only the node map is rebuilt.
+        deterministic); only the node table is rebuilt.
         """
         index = cls.__new__(cls)
         index.tree = tree
         index.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         index.ranking = ranking if ranking is not None else RankingModel()
         index._postings = dict(postings)
-        index._node_by_level_number = {}
+        index._node_table = NodeTable(tree)
         index.n_docs = n_docs
-        for node in tree.iter_document_order():
-            index._node_by_level_number[(node.level, node.jdewey[-1])] = node
         return index
 
     def _build(self) -> None:
         raw: Dict[str, List[Tuple[JDeweySeq, int, int]]] = {}
         for node in self.tree.iter_document_order():
-            self._node_by_level_number[(node.level, node.jdewey[-1])] = node
             if not node.text:
                 continue
             counts = self.tokenizer.term_frequencies(node.text)
@@ -246,4 +300,9 @@ class ColumnarIndex:
 
     def node_at(self, level: int, number: int) -> Node:
         """Materialize the node identified by (level, JDewey number)."""
-        return self._node_by_level_number[(level, number)]
+        return self._node_table.node_at(level, number)
+
+    def nodes_at(self, level: int, numbers: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Bulk `node_at`: the nodes and their document-order positions."""
+        return self._node_table.nodes_at(level, numbers)

@@ -28,7 +28,7 @@ from ..reliability.deadline import check_active
 from ..reliability.errors import DatabaseCorruptError, DatabaseFormatError
 from ..scoring.ranking import RankingModel
 from ..xmltree.tree import Node, XMLTree
-from .columnar import Column, ColumnarPostings
+from .columnar import Column, ColumnarPostings, NodeTable
 from .compression import decompress_column, read_varint
 from .storage import (_MAGIC_COLUMNAR, _MAGIC_COLUMNAR_BLOCKED,
                       _MAGIC_COLUMNAR_V3, _MAGIC_COLUMNAR_V4,
@@ -341,9 +341,7 @@ class LazyColumnarIndex:
             raise DatabaseFormatError(
                 f"not a columnar index blob (magic {magic!r})"
                 + (f" in {source}" if source else ""))
-        self._node_by_level_number: Dict[Tuple[int, int], Node] = {}
-        for node in tree.iter_document_order():
-            self._node_by_level_number[(node.level, node.jdewey[-1])] = node
+        self._node_table = NodeTable(tree)
         self.n_docs = 0
 
     def _parse_block(self, term: str) -> LazyColumnarPostings:
@@ -415,4 +413,8 @@ class LazyColumnarIndex:
         return postings
 
     def node_at(self, level: int, number: int) -> Node:
-        return self._node_by_level_number[(level, number)]
+        return self._node_table.node_at(level, number)
+
+    def nodes_at(self, level: int, numbers: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        return self._node_table.nodes_at(level, numbers)

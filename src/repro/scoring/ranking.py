@@ -9,13 +9,18 @@ combining function ``F`` (sum by default).  If a result contains several
 occurrences of the same keyword, only the best damped occurrence counts.
 
 The algorithms only rely on monotonicity, so both the local scorer and
-the combiner are pluggable.
+the combiner are pluggable.  The built-in combiners also score a whole
+level's results at once (``combine_columns``), bit-identical to
+``combine`` per result; sums accumulate left to right from 0.0 in both
+forms, so the two agree on every Python version.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Protocol, Sequence
+
+import numpy as np
 
 
 class LocalScorer(Protocol):
@@ -98,10 +103,19 @@ class SumCombiner:
     """``F = sum`` -- the paper's running choice; trivially monotone."""
 
     def combine(self, damped_scores: Sequence[float]) -> float:
-        return float(sum(damped_scores))
+        total = 0.0
+        for score in damped_scores:
+            total += score
+        return float(total)
+
+    def combine_columns(self, matrix: np.ndarray) -> np.ndarray:
+        total = np.zeros(matrix.shape[1])
+        for row in matrix:
+            total += row
+        return total
 
     def upper_bound(self, per_keyword_bounds: Sequence[float]) -> float:
-        return float(sum(per_keyword_bounds))
+        return self.combine(per_keyword_bounds)
 
 
 class MaxCombiner:
@@ -111,6 +125,16 @@ class MaxCombiner:
 
     def combine(self, damped_scores: Sequence[float]) -> float:
         return float(max(damped_scores)) if damped_scores else 0.0
+
+    def combine_columns(self, matrix: np.ndarray) -> np.ndarray:
+        if len(matrix) == 0:
+            return np.zeros(matrix.shape[1])
+        # `max` keeps the first of equal maxima (-0.0 vs 0.0) and skips
+        # a later NaN; replace only on strictly greater, as it does.
+        best = matrix[0].copy()
+        for row in matrix[1:]:
+            np.copyto(best, row, where=row > best)
+        return best
 
     def upper_bound(self, per_keyword_bounds: Sequence[float]) -> float:
         return self.combine(per_keyword_bounds)
@@ -130,12 +154,23 @@ class WeightedSumCombiner:
         self.weights = tuple(float(w) for w in weights)
 
     def combine(self, damped_scores: Sequence[float]) -> float:
-        if len(damped_scores) != len(self.weights):
+        self._check_arity(len(damped_scores))
+        total = 0.0
+        for w, s in zip(self.weights, damped_scores):
+            total += w * s
+        return float(total)
+
+    def combine_columns(self, matrix: np.ndarray) -> np.ndarray:
+        self._check_arity(len(matrix))
+        total = np.zeros(matrix.shape[1])
+        for w, row in zip(self.weights, matrix):
+            total += w * row
+        return total
+
+    def _check_arity(self, n_scores: int) -> None:
+        if n_scores != len(self.weights):
             raise ValueError(
-                f"{len(self.weights)} weights for "
-                f"{len(damped_scores)} keyword scores")
-        return float(sum(w * s for w, s in zip(self.weights,
-                                               damped_scores)))
+                f"{len(self.weights)} weights for {n_scores} keyword scores")
 
     def upper_bound(self, per_keyword_bounds: Sequence[float]) -> float:
         return self.combine(per_keyword_bounds)
@@ -161,6 +196,19 @@ class RankingModel:
     def score_result(self, best_damped_per_keyword: Sequence[float]) -> float:
         """Global score from the best damped occurrence of each keyword."""
         return self.combiner.combine(best_damped_per_keyword)
+
+    def score_results(self, witness_matrix: np.ndarray) -> List[float]:
+        """Bulk `score_result`: one score per column of a
+        ``(keywords, results)`` matrix of best damped scores.
+
+        Combiners with a ``combine_columns`` form score column-wise;
+        any other combiner gets `combine` once per result.
+        """
+        bulk = getattr(self.combiner, "combine_columns", None)
+        if bulk is not None:
+            return bulk(witness_matrix).tolist()
+        return [self.combiner.combine(tuple(column))
+                for column in witness_matrix.T.tolist()]
 
 
 def best_per_keyword(occurrences: Dict[int, List[float]]) -> List[float]:

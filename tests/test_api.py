@@ -3,7 +3,9 @@
 import pytest
 
 from repro import Query, XMLDatabase
+from repro.algorithms.base import sort_by_score
 from repro.planner.plans import JoinPlanner
+from repro.scoring.ranking import ConstantScorer, RankingModel
 
 
 class TestQuery:
@@ -114,6 +116,21 @@ class TestSearchTopK:
     def test_stats_attached(self, small_db):
         result = small_db.search_topk("xml data", 2)
         assert result.stats.tuples_scanned >= 0
+
+    @pytest.mark.parametrize("scorer", [None, ConstantScorer()],
+                             ids=["tfidf", "constant-ties"])
+    def test_join_topk_is_ranked_complete_prefix(self, dblp_db, scorer):
+        """Evaluate-then-truncate keeps exactly `sort_by_score(...)[:k]`,
+        ties broken by document order (a constant scorer makes many)."""
+        db = XMLDatabase.from_tree(dblp_db.tree,
+                                   ranking=RankingModel(scorer=scorer))
+        complete = db.search(["alpha", "gamma"])
+        k = 5
+        assert len(complete) > k
+        got = db.search_topk(["alpha", "gamma"], k, algorithm="join")
+        assert [(r.node.dewey, r.score, r.witness_scores) for r in got] == \
+            [(r.node.dewey, r.score, r.witness_scores)
+             for r in sort_by_score(complete)[:k]]
 
 
 class TestIntrospection:

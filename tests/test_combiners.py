@@ -6,8 +6,9 @@ restricted" to the sum: max and weighted-sum combiners must keep every
 engine in agreement with the oracle.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import XMLDatabase
@@ -53,6 +54,74 @@ class TestCombinerAlgebra:
                          WeightedSumCombiner([0.5] * len(scores))):
             assert combiner.combine(bumped) >= \
                 combiner.combine(scores) - 1e-12
+
+
+# Finite scores wide enough to exercise rounding, subnormals and -0.0,
+# small enough that no k-term (weighted) sum overflows.
+SCORES = st.floats(-1e300, 1e300)
+WEIGHTS = st.floats(0, 100)
+
+
+@st.composite
+def witness_matrices(draw):
+    """A ``(keywords, results)`` matrix of best damped scores."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(SCORES, min_size=m, max_size=m),
+                         min_size=k, max_size=k))
+    return np.array(rows, dtype=np.float64).reshape(k, m)
+
+
+def row_by_row(combiner, matrix):
+    return [combiner.combine(tuple(column)) for column in matrix.T.tolist()]
+
+
+def same_bits(bulk, rows):
+    assert all(type(x) is float for x in bulk)
+    return (np.asarray(bulk, dtype=np.float64).tobytes()
+            == np.asarray(rows, dtype=np.float64).tobytes())
+
+
+class TestBulkScoring:
+    """`RankingModel.score_results` is `combine` per result, bit for bit."""
+
+    @given(witness_matrices())
+    def test_sum(self, matrix):
+        model = RankingModel(combiner=SumCombiner())
+        assert same_bits(model.score_results(matrix),
+                         row_by_row(SumCombiner(), matrix))
+
+    @given(witness_matrices())
+    @example(np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]]))
+    def test_max(self, matrix):
+        model = RankingModel(combiner=MaxCombiner())
+        assert same_bits(model.score_results(matrix),
+                         row_by_row(MaxCombiner(), matrix))
+
+    @given(st.data())
+    def test_weighted_sum(self, data):
+        matrix = data.draw(witness_matrices())
+        weights = data.draw(st.lists(WEIGHTS, min_size=len(matrix),
+                                     max_size=len(matrix)))
+        combiner = WeightedSumCombiner(weights)
+        model = RankingModel(combiner=combiner)
+        assert same_bits(model.score_results(matrix),
+                         row_by_row(combiner, matrix))
+
+    def test_weighted_sum_bulk_arity_mismatch(self):
+        model = RankingModel(combiner=WeightedSumCombiner([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            model.score_results(np.ones((3, 4)))
+
+    def test_combiner_without_bulk_form_falls_back(self):
+        class MinCombiner:
+            def combine(self, scores):
+                assert isinstance(scores, tuple)
+                return min(scores) if scores else 0.0
+
+        matrix = np.array([[0.5, 0.2, 0.9], [0.1, 0.7, 0.9]])
+        assert RankingModel(combiner=MinCombiner()).score_results(
+            matrix) == [0.1, 0.2, 0.9]
 
 
 class TestBoundOps:

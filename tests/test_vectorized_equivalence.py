@@ -2,9 +2,11 @@
 
 The vectorized level loop must be *bit-identical* to the per-candidate
 scalar reference -- same nodes, same levels, same float scores and
-witness tuples, same work counters -- on randomized DBLP/XMark corpora,
-for both semantics and both eraser modes.  Any divergence is a bug in
-the bulk erasure / segment-max machinery, not a tolerance question.
+witness tuples, same order, same work counters -- on randomized
+DBLP/XMark corpora, for both semantics, every eraser mode, and
+databases reopened lazily from disk.  Any divergence is a bug in the
+bulk erasure / segment-max / emission machinery, not a tolerance
+question.
 """
 
 import random
@@ -12,10 +14,16 @@ import random
 import pytest
 
 from repro.algorithms.join_based import JoinBasedSearch
+from repro.diskdb import load_database
+from repro.reliability.deadline import Deadline
+
+ERASER_MODES = ["auto", "bitmap", "interval", "roaring"]
 
 
 def fingerprint(results):
-    """Everything observable about a result list, exactly."""
+    """Everything observable about a result list, exactly -- a list, so
+    the comparison is order-sensitive: the vectorized path orders by
+    the node table's document positions, the scalar one by Dewey ids."""
     return [(r.node.dewey, r.level, r.score, r.witness_scores)
             for r in results]
 
@@ -50,7 +58,7 @@ def random_queries(db, seed, n_queries=12, max_terms=3):
 
 
 @pytest.mark.parametrize("semantics", ["elca", "slca"])
-@pytest.mark.parametrize("eraser_mode", ["bitmap", "interval"])
+@pytest.mark.parametrize("eraser_mode", ERASER_MODES)
 class TestRandomizedCorpora:
     def test_planted_queries_identical(self, corpus_db, semantics,
                                        eraser_mode):
@@ -96,3 +104,88 @@ class TestSmallDocuments:
         scalar, _, vector, _ = run_pair(small_db, ["xml", "xml"],
                                         semantics, "bitmap")
         assert fingerprint(scalar) == fingerprint(vector)
+
+
+@pytest.fixture(scope="module", params=[None, 4],
+                ids=["default-format", "format-v4"])
+def lazy_corpus_db(request, corpus_db, tmp_path_factory):
+    """`corpus_db` saved (default format or v4) and reopened lazily."""
+    path = str(tmp_path_factory.mktemp("lazy_equivalence") / "db")
+    if request.param is None:
+        corpus_db.save(path)
+    else:
+        corpus_db.save(path, format_version=request.param)
+    return load_database(path, lazy=True)
+
+
+@pytest.mark.parametrize("semantics", ["elca", "slca"])
+class TestLazyReopenedDatabases:
+    def test_random_queries_identical(self, lazy_corpus_db, corpus_db,
+                                      semantics):
+        for terms in random_queries(corpus_db, seed=99):
+            scalar, s_stats, vector, v_stats = run_pair(
+                lazy_corpus_db, terms, semantics, "auto")
+            assert fingerprint(scalar) == fingerprint(vector), terms
+            assert s_stats.as_dict() == v_stats.as_dict(), terms
+            eager, _ = JoinBasedSearch(corpus_db.columnar_index).evaluate(
+                terms, semantics)
+            assert fingerprint(eager) == fingerprint(vector), terms
+
+    def test_without_scores_identical(self, lazy_corpus_db, semantics):
+        scalar, _, vector, _ = run_pair(lazy_corpus_db, ["alpha", "beta"],
+                                        semantics, "roaring",
+                                        with_scores=False)
+        assert fingerprint(scalar) == fingerprint(vector)
+
+
+class _SteppedClock:
+    """A clock that only moves when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.mark.parametrize("semantics", ["elca", "slca"])
+class TestDeadlinePartial:
+    """A deadline expiring mid-query keeps the processed levels' results,
+    in document order and aligned with their node-table positions."""
+
+    @staticmethod
+    def run_cut(db, terms, semantics, vectorized, after_levels):
+        clock = _SteppedClock()
+        deadline = Deadline(1.0, on_deadline="partial", clock=clock)
+        processed = []
+
+        def observer(level, columns, joined, emitted):
+            processed.append(level)
+            if len(processed) == after_levels:
+                clock.now = 1.0  # expired at the next level's poll
+
+        engine = JoinBasedSearch(db.columnar_index, vectorized=vectorized)
+        results, stats = engine.evaluate(terms, semantics,
+                                         observer=observer,
+                                         deadline=deadline)
+        return results, stats, processed
+
+    @pytest.mark.parametrize("after_levels", [1, 2, 3])
+    def test_partial_is_ordered_prefix_of_levels(self, dblp_db, semantics,
+                                                 after_levels):
+        terms = ["alpha", "gamma"]
+        full, _ = JoinBasedSearch(dblp_db.columnar_index).evaluate(
+            terms, semantics)
+        partial, stats, processed = self.run_cut(
+            dblp_db, terms, semantics, True, after_levels)
+        assert stats.partial and stats.levels_skipped > 0
+        assert len(processed) == after_levels
+        assert [r.node.dewey for r in partial] == \
+            sorted(r.node.dewey for r in partial)
+        expected = [r for r in full if r.level in processed]
+        assert expected, "the cut must keep some results"
+        assert fingerprint(partial) == fingerprint(expected)
+        scalar, s_stats, _ = self.run_cut(dblp_db, terms, semantics, False,
+                                          after_levels)
+        assert fingerprint(scalar) == fingerprint(partial)
+        assert s_stats.as_dict() == stats.as_dict()
